@@ -386,8 +386,7 @@ impl<'a> TrainerCore<'a> {
         // Trace-only (no event, no histogram): the per-epoch metrics below
         // already cover the event stream; this span exists to parent the
         // batch/shard tree in trace exports.
-        let _epoch_span = kgfd_obs::span_traced!("embed.train.epoch", epoch = epoch);
-        let epoch_start = Instant::now();
+        let epoch_span = kgfd_obs::span_traced!("embed.train.epoch", epoch = epoch);
         triples.shuffle(rng);
         let mut loss_sum = 0.0f64;
         let mut pairs = 0u64;
@@ -530,7 +529,7 @@ impl<'a> TrainerCore<'a> {
         };
 
         let sampling: Duration = worker_sampling.iter().sum();
-        let wall = epoch_start.elapsed();
+        let wall = epoch_span.elapsed();
         kgfd_obs::histogram("embed.train.epoch_duration_us").record(wall.as_micros() as f64);
         for slot in &worker_sampling {
             // One observation per worker slot per epoch: the histogram's

@@ -177,7 +177,6 @@ fn group_queries(triples: &[Triple], object_side: bool) -> (SideGroups, usize) {
 /// trace-only span exactly like the pre-pool engine did.
 fn score_tile(model: &dyn KgeModel, tile: &[(u32, u32)], object_side: bool, out: &mut [f32]) {
     let tile_span = kgfd_obs::span_traced!("eval.rank.batch_kernel");
-    let kernel = std::time::Instant::now();
     if object_side {
         let queries: Vec<(EntityId, RelationId)> = tile
             .iter()
@@ -191,8 +190,8 @@ fn score_tile(model: &dyn KgeModel, tile: &[(u32, u32)], object_side: bool, out:
             .collect();
         model.score_subjects_batch(&queries, out);
     }
-    kgfd_obs::histogram("eval.rank.batch_kernel_us").record(kernel.elapsed().as_secs_f64() * 1e6);
-    drop(tile_span);
+    let kernel = tile_span.finish();
+    kgfd_obs::histogram("eval.rank.batch_kernel_us").record(kernel.as_secs_f64() * 1e6);
 }
 
 /// The exclusion list for one side query under the filtered protocol.

@@ -23,7 +23,8 @@
 //! [`enable_tracing`]), the tree exports as Chrome trace-event JSON and
 //! collapsed-stack flamegraph text ([`export`]), and a dependency-free
 //! [`MetricsServer`] serves live `/metrics` (Prometheus), `/healthz`, and
-//! `/trace` endpoints.
+//! `/trace` endpoints on the workspace's one HTTP core ([`http`]), which
+//! `kgfd serve` shares.
 //!
 //! Metric and span names follow `<crate>.<phase>.<name>`, e.g.
 //! `embed.train.epoch_loss` or `discover.generation.duration_us`.
@@ -40,6 +41,7 @@
 
 mod event;
 pub mod export;
+pub mod http;
 mod manifest;
 mod metrics;
 mod observer;

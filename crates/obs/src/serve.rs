@@ -14,22 +14,20 @@
 //! * `GET /trace` — the top spans by self time from the live trace
 //!   collector, as JSON (see [`crate::export::top_spans_json`]).
 //!
-//! The server is deliberately minimal: one request per connection,
-//! `Connection: close`, no keep-alive, no TLS. It exists so `curl` and a
-//! Prometheus scraper can watch a long `train`/`grid` run — not to be a
-//! general web server.
+//! The server is a GET-only route table on the shared HTTP core
+//! ([`crate::http`]): one request per connection, `Connection: close`, no
+//! keep-alive, no TLS; any other method or path gets `404`. It exists so
+//! `curl` and a Prometheus scraper can watch a long `train`/`grid` run —
+//! not to be a general web server.
 //!
-//! **Shutdown.** `shutdown()` flips a stop flag and then connects to the
-//! listener itself to unblock the accept loop, joining the thread before
+//! **Shutdown.** `shutdown()` (or drop) stops the core's
+//! [`Acceptor`](crate::http::Acceptor), joining its thread before
 //! returning — so a run never exits with the port still held.
 
+use crate::http::{self, Acceptor, RequestHead, Status};
 use crate::metrics::registry;
 use parking_lot::Mutex;
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
 
 static PHASE: Mutex<Option<String>> = Mutex::new(None);
 
@@ -47,108 +45,44 @@ pub fn current_phase() -> Option<String> {
 /// A running metrics endpoint. Shut down explicitly with
 /// [`MetricsServer::shutdown`]; dropping it does the same.
 pub struct MetricsServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
+    acceptor: Acceptor,
 }
 
 impl MetricsServer {
     /// Binds `addr` (e.g. `127.0.0.1:9464`, or port `0` for an ephemeral
     /// port) and starts serving on a background thread.
     pub fn start(addr: &str) -> std::io::Result<MetricsServer> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("kgfd-metrics".into())
-            .spawn(move || accept_loop(listener, stop_flag))?;
-        Ok(MetricsServer {
-            addr: local,
-            stop,
-            handle: Some(handle),
-        })
+        let acceptor =
+            Acceptor::start(TcpListener::bind(addr)?, "kgfd-metrics", handle_connection)?;
+        Ok(MetricsServer { acceptor })
     }
 
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.local_addr()
     }
 
     /// Stops the accept loop and joins the server thread.
     pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        let Some(handle) = self.handle.take() else {
-            return;
-        };
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept() call; an error just means the listener is
-        // already gone, which is equally fine.
-        let _ = TcpStream::connect(self.addr);
-        let _ = handle.join();
-    }
-}
-
-impl Drop for MetricsServer {
-    fn drop(&mut self) {
-        self.stop_and_join();
-    }
-}
-
-fn accept_loop(listener: TcpListener, stop: Arc<AtomicBool>) {
-    for stream in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        // A slow or stuck client must not wedge the endpoint.
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-        handle_connection(stream);
+        self.acceptor.stop();
     }
 }
 
 fn handle_connection(mut stream: TcpStream) {
-    // Read until the blank line ending the request headers (clients may
-    // deliver the request in several segments), bounded to keep a
-    // misbehaving peer from holding the loop.
-    let mut buf = Vec::with_capacity(512);
-    let mut chunk = [0u8; 512];
-    while !buf.windows(4).any(|w| w == b"\r\n\r\n") && buf.len() < 8192 {
-        match stream.read(&mut chunk) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-        }
-    }
-    let request = String::from_utf8_lossy(&buf);
-    let path = request
-        .lines()
-        .next()
-        .and_then(|line| line.split_whitespace().nth(1))
-        .unwrap_or("/");
-    let (status, content_type, body) = match path {
-        "/metrics" => (
-            "200 OK",
-            "text/plain; version=0.0.4; charset=utf-8",
-            prometheus_text(),
-        ),
-        "/healthz" => ("200 OK", "application/json", healthz_json()),
-        "/trace" => ("200 OK", "application/json", trace_json()),
+    let Some(RequestHead { method, path, .. }) = http::read_head(&mut stream) else {
+        return;
+    };
+    let (status, content_type, body) = match (method.as_str(), path.as_str()) {
+        ("GET", "/metrics") => (Status(200), http::PROMETHEUS_TEXT, prometheus_text()),
+        ("GET", "/healthz") => (Status(200), "application/json", healthz_json()),
+        ("GET", "/trace") => (Status(200), "application/json", trace_json()),
         _ => (
-            "404 Not Found",
+            Status(404),
             "text/plain; charset=utf-8",
             "not found: routes are /metrics, /healthz, /trace\n".to_string(),
         ),
     };
-    let _ = write!(
-        stream,
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    let _ = stream.flush();
+    http::respond(&mut stream, status, content_type, &[], body.as_bytes());
 }
 
 /// Maps a metric name onto the Prometheus identifier charset
@@ -234,14 +168,19 @@ fn trace_json() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{Read, Write};
 
     /// `PHASE` is process-global; tests that set it take this lock so the
     /// harness's thread-per-test execution cannot interleave them.
     static PHASE_TEST_LOCK: Mutex<()> = Mutex::new(());
 
     fn get(addr: SocketAddr, path: &str) -> String {
+        request(addr, "GET", path)
+    }
+
+    fn request(addr: SocketAddr, method: &str, path: &str) -> String {
         let mut stream = TcpStream::connect(addr).expect("connect");
-        let request = format!("GET {path} HTTP/1.1\r\nHost: test\r\n\r\n");
+        let request = format!("{method} {path} HTTP/1.1\r\nHost: test\r\n\r\n");
         stream.write_all(request.as_bytes()).expect("write");
         let mut response = String::new();
         stream.read_to_string(&mut response).expect("read");
@@ -283,6 +222,11 @@ mod tests {
 
         let missing = get(addr, "/nope");
         assert!(missing.starts_with("HTTP/1.1 404"), "got {missing}");
+        let post = request(addr, "POST", "/metrics");
+        assert!(
+            post.starts_with("HTTP/1.1 404"),
+            "routes are GET-only, got {post}"
+        );
 
         server.shutdown();
     }

@@ -4,7 +4,7 @@
 //! Every [`crate::Span`] carries a process-unique [`SpanId`] and a
 //! `parent` id taken from the top of a **thread-local span stack** at
 //! creation time, so spans opened while another span is live nest under it
-//! with no explicit plumbing. Work dispatched to other threads (crossbeam
+//! with no explicit plumbing. Work dispatched to other threads (`kgfd-pool`
 //! training workers, `BatchRanker` query-group workers) re-establishes the
 //! link with an explicit handoff: the dispatching side captures a
 //! [`SpanHandle`] (`Copy + Send`) and the worker either enters it

@@ -15,17 +15,16 @@ fn counters_are_atomic_under_concurrent_writers() {
     const THREADS: usize = 8;
     const PER_THREAD: u64 = 10_000;
     let before = registry().counter("test.atomic.hits").get();
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..THREADS {
-            s.spawn(|_| {
+            s.spawn(|| {
                 let c = registry().counter("test.atomic.hits");
                 for _ in 0..PER_THREAD {
                     c.inc();
                 }
             });
         }
-    })
-    .unwrap();
+    });
     let after = registry().counter("test.atomic.hits").get();
     assert_eq!(after - before, THREADS as u64 * PER_THREAD);
 }
@@ -36,17 +35,16 @@ fn histograms_are_consistent_under_concurrent_writers() {
     const PER_THREAD: usize = 5_000;
     let h = registry().histogram("test.atomic.latency");
     let before = h.count();
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..THREADS {
             let h = Arc::clone(&h);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..PER_THREAD {
                     h.record((t * PER_THREAD + i + 1) as f64);
                 }
             });
         }
-    })
-    .unwrap();
+    });
     assert_eq!(h.count() - before, (THREADS * PER_THREAD) as u64);
     let expected: f64 = (1..=THREADS * PER_THREAD).map(|v| v as f64).sum();
     assert!((h.sum() - expected).abs() < 1e-6 * expected);

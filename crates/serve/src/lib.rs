@@ -31,7 +31,6 @@
 
 pub mod api;
 pub mod cache;
-pub mod http;
 pub mod registry;
 pub mod server;
 pub mod signal;

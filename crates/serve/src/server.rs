@@ -9,11 +9,13 @@
 //!        GETs ◀───┘ 429/413/404/503          └──────────┘
 //! ```
 //!
-//! **Acceptor.** One thread owns the (non-blocking) listener. It reads only
-//! the request *head* under a short timeout, then: answers `GET` routes
-//! (`/healthz`, `/metrics`, `/v1/models`) inline — liveness never queues
-//! behind model work — and either enqueues a `POST` or sheds it with `429
-//! Retry-After` when `max_inflight` requests are already admitted.
+//! **Acceptor.** One thread owns the listener: the blocking
+//! [`kgfd_obs::http::Acceptor`], the same one the `--serve-metrics`
+//! endpoint runs on. It reads only the request *head* under a short
+//! timeout, then: answers `GET` routes (`/healthz`, `/metrics`,
+//! `/v1/models`) inline — liveness never queues behind model work — and
+//! either enqueues a `POST` or sheds it with `429 Retry-After` when
+//! `max_inflight` requests are already admitted.
 //! Oversized and unroutable requests are refused inline (`413` / `404`)
 //! without reading their bodies.
 //!
@@ -38,8 +40,8 @@
 
 use crate::api::{self, ApiError};
 use crate::cache::ResponseCache;
-use crate::http::{self, RequestHead, Status};
 use crate::registry::ModelRegistry;
+use kgfd_obs::http::{self, Acceptor, RequestHead, Status, PROMETHEUS_TEXT};
 use serde_json::json;
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -47,11 +49,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// How long a peer may take to deliver request head or body segments.
-const IO_TIMEOUT: Duration = Duration::from_secs(2);
-/// Acceptor poll interval while the listener has nothing to accept.
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
 
 /// Server tuning; every field has a production-shaped default.
 #[derive(Debug, Clone)]
@@ -124,9 +121,8 @@ impl Shared {
 
 /// A running `kgfd-serve` instance.
 pub struct Server {
-    addr: SocketAddr,
     shared: Arc<Shared>,
-    acceptor: Option<std::thread::JoinHandle<()>>,
+    acceptor: Acceptor,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -180,8 +176,6 @@ impl Server {
     /// Binds `config.addr` and starts the acceptor and worker threads.
     pub fn start(config: ServeConfig, registry: Arc<ModelRegistry>) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
         let workers = config.workers.max(1);
         let cache = ResponseCache::new(config.cache_entries, config.cache_seed);
         let shared = Arc::new(Shared {
@@ -206,21 +200,20 @@ impl Server {
         }
         let acceptor = {
             let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("kgfd-serve-acceptor".to_string())
-                .spawn(move || accept_loop(listener, &shared))?
+            Acceptor::start(listener, "kgfd-serve-acceptor", move |stream| {
+                admit(stream, &shared)
+            })?
         };
         Ok(Server {
-            addr,
             shared,
-            acceptor: Some(acceptor),
+            acceptor,
             workers: worker_handles,
         })
     }
 
     /// The bound address (use with `addr: 127.0.0.1:0`).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.local_addr()
     }
 
     /// Starts refusing new `POST`s (`503 {"error":"draining"}`) while
@@ -247,6 +240,7 @@ impl Server {
         while self.inflight() > 0 {
             std::thread::sleep(Duration::from_millis(5));
         }
+        self.acceptor.stop();
         self.shared.stop.store(true, Ordering::SeqCst);
         self.shared.queue_cv.notify_all();
         let spawned = self.workers.len();
@@ -255,9 +249,6 @@ impl Server {
             if handle.join().is_ok() {
                 joined += 1;
             }
-        }
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
         }
         let mut stats = ServeStats::snapshot();
         stats.workers_spawned = spawned;
@@ -270,39 +261,20 @@ impl Drop for Server {
     fn drop(&mut self) {
         // Non-graceful fallback for dropped-without-shutdown servers
         // (tests, error paths): stop immediately, abandoning the queue.
+        self.acceptor.stop();
         self.shared.stop.store(true, Ordering::SeqCst);
         self.shared.draining.store(true, Ordering::SeqCst);
         self.shared.queue_cv.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-    }
-}
-
-fn accept_loop(listener: TcpListener, shared: &Shared) {
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => admit(stream, shared),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
-        }
     }
 }
 
 /// Routes one fresh connection: inline GETs, admission control for POSTs.
 fn admit(mut stream: TcpStream, shared: &Shared) {
-    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
     let Some(head) = http::read_head(&mut stream) else {
-        return; // probe / malformed head: drop silently, like kgfd_obs
+        return; // probe / malformed head: drop silently
     };
     kgfd_obs::counter("serve.requests").inc();
 
@@ -310,7 +282,8 @@ fn admit(mut stream: TcpStream, shared: &Shared) {
         ("GET", "/healthz") => finish(&mut stream, Status(200), &[], &healthz_body(shared)),
         ("GET", "/metrics") => {
             kgfd_obs::counter("serve.responses.2xx").inc();
-            http::respond_text(&mut stream, &kgfd_obs::prometheus_text());
+            let text = kgfd_obs::prometheus_text().into_bytes();
+            http::respond(&mut stream, Status(200), PROMETHEUS_TEXT, &[], &text);
         }
         ("GET", "/v1/models") => finish(&mut stream, Status(200), &[], &models_body(shared)),
         ("POST", path) if is_post_route(path, &shared.config) => {
@@ -595,7 +568,7 @@ fn endpoint_label(path: &str) -> &'static str {
 /// Writes the response and records its class counter.
 fn finish(stream: &mut TcpStream, status: Status, headers: &[(&str, String)], body: &[u8]) {
     kgfd_obs::counter(&format!("serve.responses.{}", status.class())).inc();
-    http::respond(stream, status, headers, body);
+    http::respond(stream, status, "application/json", headers, body);
 }
 
 /// Cap on how much of a refused request's body is drained before closing.

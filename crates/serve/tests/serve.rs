@@ -6,7 +6,7 @@ use kgfd_datasets::toy_biomedical;
 use kgfd_embed::{train, write_model_file, ModelKind, TrainConfig};
 use kgfd_serve::{GraphContext, ModelRegistry, ServeConfig, Server};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -155,8 +155,26 @@ fn get_routes_answer_inline() {
     assert!(models["models"][0]["generation"].as_u64().is_some());
     let metrics = get(addr, "/metrics");
     assert_eq!(metrics.status, 200);
+    assert_eq!(
+        metrics.header("Content-Type"),
+        Some("text/plain; version=0.0.4; charset=utf-8")
+    );
     assert!(metrics.text().contains("serve_requests"));
     server.shutdown();
+}
+
+#[test]
+fn drop_and_shutdown_release_the_port() {
+    // The acceptor blocks in `accept`; both exits must wake and join it so
+    // the listener is closed and the port can be bound again at once.
+    let (server, addr, _) = boot("release-drop", test_config());
+    assert_eq!(get(addr, "/healthz").status, 200);
+    drop(server);
+    drop(TcpListener::bind(addr).expect("port released after drop"));
+
+    let (server, addr, _) = boot("release-shutdown", test_config());
+    server.shutdown();
+    drop(TcpListener::bind(addr).expect("port released after shutdown"));
 }
 
 #[test]
